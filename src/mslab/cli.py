@@ -1,13 +1,17 @@
 """Batch experiment runner behind the ``mslab`` command.
 
-Usage: ``mslab <kind> --config <path> [--seed N] [--out <path>]`` plus the
-``validate`` mode that checks a config without running it.  Config files
-are JSON envelopes {"kind", "params", "seed", "output_path"}; the
-positional kind must agree with the envelope when both name one.  Each run
-writes a JSON report and a plot-ready CSV next to it, atomically, with no
-timestamps; reports embed the sha256 of the canonical config, the seed,
-and the package version, so rerunning the same config and seed reproduces
-the output byte for byte.
+Usage: ``mslab <kind> --config <path> [--seed N] [--out <path>]`` plus
+``mslab validate --config <path>``.  Config files are JSON envelopes
+{"kind", "params", "seed", "output_path"}; the positional kind must agree
+with the envelope when both name one.
+
+Each kind has one parse step that reads its params and returns a plan.  A
+run executes the plan and writes a JSON report and a plot-ready CSV next to
+it, atomically, with no timestamps; reports embed the sha256 of the
+canonical config, the seed, and the package version, so rerunning the same
+config and seed reproduces the output byte for byte.  ``validate`` is the
+same parse step plus a smoke run: 100 draws from the run's own proposal
+for each spec the run would sample, flagging specs that none of them hit.
 
 Exit codes: 0 success, 2 config or validation error, 3 numerical failure
 (divergence, infeasibility, volumes that collapsed to -inf everywhere).
@@ -24,7 +28,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import __version__
@@ -262,12 +266,28 @@ def _parse_tuple(obj: Any, where: str, stream, self_adjoint: bool):
 
 
 # ---------------------------------------------------------------------------
-# Per-kind runners: config -> (result payload, csv text)
+# Per-kind parse steps: (params, stream) -> _Plan
 
 
-def _run_entropy(cfg: ExperimentConfig, stream) -> Tuple[dict, str]:
+@dataclass(frozen=True)
+class _Plan:
+    """A parsed config.  ``execute()`` gives (result payload, csv text).
+
+    Each smoke target (label, spec, n, proposal or None for the default) is
+    a spec the run will sample at that n with that proposal; ``validate``
+    draws against it in place of the run.
+    """
+
+    execute: Callable[[], Tuple[dict, str]]
+    smoke: Tuple[Tuple[str, Any, int, Any], ...] = ()
+
+
+def _report(rep) -> Tuple[dict, str]:
+    return json.loads(rep.to_json()), rep.to_csv()
+
+
+def _parse_entropy(p: Mapping[str, Any], stream) -> _Plan:
     from .microstates import GaussianProposal, estimate_entropy
-    p = cfg.params
     spec = _parse_spec(_need(p, "spec"), "params.spec")
     n_list = _as_int_list(_need(p, "n_list"), "params.n_list")
     samples = _as_int(_need(p, "samples"), "params.samples", minimum=1000)
@@ -278,31 +298,31 @@ def _run_entropy(cfg: ExperimentConfig, stream) -> Tuple[dict, str]:
             raise ConfigError("params.proposal needs herm and skew scale lists")
         proposal = _wrap("params.proposal", lambda: GaussianProposal(
             tuple(obj["herm"]), tuple(obj["skew"])))
-    est = estimate_entropy(spec, n_list, samples, stream, proposal)
-    if all(v == float("-inf") for v in est.h_n):
-        raise RuntimeError(
-            "no microstates hit at any n; every volume is -inf "
-            f"(samples={samples}, n_list={n_list})")
-    return json.loads(est.to_json()), est.to_csv()
+
+    def execute():
+        est = estimate_entropy(spec, n_list, samples, stream, proposal)
+        if all(v == float("-inf") for v in est.h_n):
+            raise RuntimeError(
+                "no microstates hit at any n; every volume is -inf "
+                f"(samples={samples}, n_list={n_list})")
+        return _report(est)
+    return _Plan(execute, (("params.spec", spec, min(n_list), proposal),))
 
 
-def _run_freeness(cfg: ExperimentConfig, stream) -> Tuple[dict, str]:
+def _parse_freeness(p: Mapping[str, Any], stream) -> _Plan:
     from .freeness import asymptotic_freeness_experiment
-    p = cfg.params
     base_x = _parse_measure(_need(p, "base_x"), "params.base_x")
     base_y = _parse_measure(_need(p, "base_y"), "params.base_y")
     n_list = _as_int_list(_need(p, "n_list"), "params.n_list")
     max_len = _as_int(_need(p, "max_len"), "params.max_len", minimum=1)
     trials = _as_int(_need(p, "trials"), "params.trials", minimum=1)
     eps = _as_float(p.get("eps", 0.05), "params.eps")
-    rep = _wrap("params", lambda: asymptotic_freeness_experiment(
-        base_x, base_y, n_list, max_len, trials, stream, eps))
-    return json.loads(rep.to_json()), rep.to_csv()
+    return _Plan(lambda: _report(_wrap("params", lambda: asymptotic_freeness_experiment(
+        base_x, base_y, n_list, max_len, trials, stream, eps))))
 
 
-def _run_convolve(cfg: ExperimentConfig, stream) -> Tuple[dict, str]:
+def _parse_convolve(p: Mapping[str, Any], stream) -> _Plan:
     from .freeness import free_convolution_experiment
-    p = cfg.params
     mu = _parse_measure(_need(p, "mu"), "params.mu")
     nu = _parse_measure(_need(p, "nu"), "params.nu")
     for name, m in (("mu", mu), ("nu", nu)):
@@ -311,13 +331,12 @@ def _run_convolve(cfg: ExperimentConfig, stream) -> Tuple[dict, str]:
     n = _as_int(_need(p, "n"), "params.n", minimum=1)
     trials = _as_int(_need(p, "trials"), "params.trials", minimum=1)
     max_len = _as_int(_need(p, "max_len"), "params.max_len", minimum=1)
-    rep = free_convolution_experiment(mu, nu, n, trials, max_len, stream)
-    return json.loads(rep.to_json()), rep.to_csv()
+    return _Plan(lambda: _report(
+        free_convolution_experiment(mu, nu, n, trials, max_len, stream)))
 
 
-def _run_gibbs(cfg: ExperimentConfig, stream) -> Tuple[dict, str]:
+def _parse_gibbs(p: Mapping[str, Any], stream) -> _Plan:
     from .gibbs import DEFAULT_STEP, sample_gibbs_moments
-    p = cfg.params
     potential = _parse_potential(_need(p, "potential"), "params.potential")
     n = _as_int(_need(p, "n"), "params.n", minimum=2)
     samples = _as_int(_need(p, "samples"), "params.samples", minimum=1)
@@ -325,29 +344,31 @@ def _run_gibbs(cfg: ExperimentConfig, stream) -> Tuple[dict, str]:
     max_len = _as_int(p.get("max_len", 4), "params.max_len", minimum=1)
     thin = _as_int(p.get("thin", 5), "params.thin", minimum=1)
     h = _as_float(p.get("step", DEFAULT_STEP), "params.step")
-    res = sample_gibbs_moments(potential, n, burn_in, samples, max_len,
-                               stream, h=h, thin=thin)
-    words = sorted(str(w) for w in res.moments.values if len(w.letters))
-    payload = {
-        "n": res.n,
-        "step": res.h,
-        "kept": res.kept,
-        "tau": res.tau,
-        "moments": {w: [res.moments[w].real, res.moments[w].imag]
-                    for w in words},
-        "ci": {w: res.ci[w] for w in words},
-    }
-    lines = ["word,re,im,ci"]
-    for w in words:
-        v = res.moments[w]
-        lines.append(f"\"{w}\",{v.real:.10g},{v.imag:.10g},{res.ci[w]:.10g}")
-    return payload, "\n".join(lines) + "\n"
+
+    def execute():
+        res = sample_gibbs_moments(potential, n, burn_in, samples, max_len,
+                                   stream, h=h, thin=thin)
+        words = sorted(str(w) for w in res.moments.values if len(w.letters))
+        payload = {
+            "n": res.n,
+            "step": res.h,
+            "kept": res.kept,
+            "tau": res.tau,
+            "moments": {w: [res.moments[w].real, res.moments[w].imag]
+                        for w in words},
+            "ci": {w: res.ci[w] for w in words},
+        }
+        lines = ["word,re,im,ci"]
+        for w in words:
+            v = res.moments[w]
+            lines.append(f"\"{w}\",{v.real:.10g},{v.imag:.10g},{res.ci[w]:.10g}")
+        return payload, "\n".join(lines) + "\n"
+    return _Plan(execute)
 
 
-def _run_hopf_lax(cfg: ExperimentConfig, stream) -> Tuple[dict, str]:
+def _parse_hopf_lax(p: Mapping[str, Any], stream) -> _Plan:
     from .gibbs import hopf_lax_iterate, hopf_lax_step
     from .matrices import tuple_hs_norm
-    p = cfg.params
     potential = _parse_potential(_need(p, "potential"), "params.potential")
     t = _as_float(_need(p, "t"), "params.t")
     if t <= 0:
@@ -358,48 +379,56 @@ def _run_hopf_lax(cfg: ExperimentConfig, stream) -> Tuple[dict, str]:
     if x.shape[0] != potential.d:
         raise ConfigError(
             f"params.x has d={x.shape[0]} but the potential wants {potential.d}")
-    if stages == 1:
-        res = hopf_lax_step(potential, t, x, z_samples, rng_stream=stream)
-        payload = {"t": t, "stages": 1, "ks": [1], "values": [res.value],
-                   "value": res.value,
-                   "witness_hs_norm": float(tuple_hs_norm(res.witness))}
-    else:
-        res = hopf_lax_iterate(potential, t, stages, x, z_samples,
-                               rng_stream=stream)
-        payload = {"t": t, "stages": stages, "ks": res.ks,
-                   "values": res.values, "value": res.value}
-    lines = ["k,value"]
-    for k, v in zip(payload["ks"], payload["values"]):
-        lines.append(f"{k},{v:.10g}")
-    return payload, "\n".join(lines) + "\n"
+
+    def execute():
+        if stages == 1:
+            res = hopf_lax_step(potential, t, x, z_samples, rng_stream=stream)
+            payload = {"t": t, "stages": 1, "ks": [1], "values": [res.value],
+                       "value": res.value,
+                       "witness_hs_norm": float(tuple_hs_norm(res.witness))}
+        else:
+            res = hopf_lax_iterate(potential, t, stages, x, z_samples,
+                                   rng_stream=stream)
+            payload = {"t": t, "stages": stages, "ks": res.ks,
+                       "values": res.values, "value": res.value}
+        lines = ["k,value"]
+        for k, v in zip(payload["ks"], payload["values"]):
+            lines.append(f"{k},{v:.10g}")
+        return payload, "\n".join(lines) + "\n"
+    return _Plan(execute)
 
 
-def _run_wasserstein(cfg: ExperimentConfig, stream) -> Tuple[dict, str]:
+def _parse_wasserstein(p: Mapping[str, Any], stream) -> _Plan:
     from .transport import wasserstein_matrix, wasserstein_spectral
-    p = cfg.params
     mode = p.get("mode", "spectral")
     if mode == "spectral":
         mu = _parse_measure(_need(p, "mu"), "params.mu")
         nu = _parse_measure(_need(p, "nu"), "params.nu")
         if isinstance(mu, tuple) or isinstance(nu, tuple):
             raise ConfigError("spectral mode compares two single measures")
-        dist = wasserstein_spectral(mu, nu)
+
+        def distance():
+            return wasserstein_spectral(mu, nu)
     elif mode == "matrix":
         x = _parse_tuple(_need(p, "x"), "params.x", stream, True)
         y = _parse_tuple(_need(p, "y"), "params.y", stream, True)
         if x.shape[0] != 1 or y.shape[0] != 1:
             raise ConfigError("matrix mode compares two single matrices")
-        dist = _wrap("params", lambda: wasserstein_matrix(x[0], y[0]))
+
+        def distance():
+            return _wrap("params", lambda: wasserstein_matrix(x[0], y[0]))
     else:
         raise ConfigError("params.mode must be spectral or matrix")
-    payload = {"mode": mode, "distance": dist}
-    return payload, f"mode,distance\n{mode},{dist:.10g}\n"
+
+    def execute():
+        dist = distance()
+        return {"mode": mode, "distance": dist}, f"mode,distance\n{mode},{dist:.10g}\n"
+    return _Plan(execute)
 
 
-def _run_specht(cfg: ExperimentConfig, stream) -> Tuple[dict, str]:
+def _parse_specht(p: Mapping[str, Any], stream) -> _Plan:
     from .matrices import sample_haar_unitary
     from .transport import specht_equivalent
-    p = cfg.params
     x = _parse_tuple(_need(p, "x"), "params.x", stream, False)
     y_obj = _need(p, "y")
     if isinstance(y_obj, Mapping) and y_obj.get("kind") == "conjugate":
@@ -410,32 +439,34 @@ def _run_specht(cfg: ExperimentConfig, stream) -> Tuple[dict, str]:
         y = _parse_tuple(y_obj, "params.y", stream, False)
     max_len = _as_int(_need(p, "max_len"), "params.max_len", minimum=1)
     budget = _as_int(p.get("budget", 300_000), "params.budget", minimum=1)
-    res = _wrap("params", lambda: specht_equivalent(x, y, max_len, budget))
-    payload = {
-        "verdict": res.verdict,
-        "checked_len": res.checked_len,
-        "sufficiency_len": res.sufficiency_len,
-        "witness_word": res.witness_word,
-        "witness_values": ([[v.real, v.imag] for v in res.witness_values]
-                           if res.witness_values else None),
-    }
-    csv = ("verdict,checked_len,sufficiency_len,witness_word\n"
-           f"{res.verdict},{res.checked_len},{res.sufficiency_len},"
-           f"{res.witness_word or ''}\n")
-    return payload, csv
+
+    def execute():
+        res = _wrap("params", lambda: specht_equivalent(x, y, max_len, budget))
+        payload = {
+            "verdict": res.verdict,
+            "checked_len": res.checked_len,
+            "sufficiency_len": res.sufficiency_len,
+            "witness_word": res.witness_word,
+            "witness_values": ([[v.real, v.imag] for v in res.witness_values]
+                               if res.witness_values else None),
+        }
+        csv = ("verdict,checked_len,sufficiency_len,witness_word\n"
+               f"{res.verdict},{res.checked_len},{res.sufficiency_len},"
+               f"{res.witness_word or ''}\n")
+        return payload, csv
+    return _Plan(execute)
 
 
-def _run_independent_join(cfg: ExperimentConfig, stream) -> Tuple[dict, str]:
+def _parse_independent_join(p: Mapping[str, Any], stream) -> _Plan:
     from .freeness import entropy_additivity_experiment, product_spec
     from .microstates import McmcConfig, independent_join_ratio
-    p = cfg.params
     spec1 = _parse_spec(_need(p, "spec1"), "params.spec1")
     spec2 = _parse_spec(_need(p, "spec2"), "params.spec2")
     cross = _parse_constraints(p.get("cross"), "params.cross")
+    joint = _wrap("params", lambda: product_spec(spec1, spec2, cross))
     probe = p.get("probe", "ratio")
     if probe == "ratio":
         n = _as_int(_need(p, "n"), "params.n", minimum=2)
-        joint = _wrap("params", lambda: product_spec(spec1, spec2, cross))
         mc = p.get("mcmc", {})
         if not isinstance(mc, Mapping):
             raise ConfigError("params.mcmc must be an object")
@@ -444,28 +475,35 @@ def _run_independent_join(cfg: ExperimentConfig, stream) -> Tuple[dict, str]:
             pairs=_as_int(mc.get("pairs", 500), "params.mcmc.pairs", 1),
             thin=_as_int(mc.get("thin", 5), "params.mcmc.thin", 1),
             step=_as_float(mc.get("step", 0.15), "params.mcmc.step")))
-        res = independent_join_ratio(spec1, spec2, joint, n, stream, mcfg)
-        payload = {"probe": "ratio", "n": n, "ratio": res.ratio, "ci": res.ci,
-                   "pairs": res.pairs, "acceptance": list(res.acceptance),
-                   "ess": res.ess}
-        csv = ("n,ratio,ci,pairs,ess\n"
-               f"{n},{res.ratio:.10g},{res.ci:.10g},{res.pairs},{res.ess:.10g}\n")
-        return payload, csv
-    if probe == "additivity":
+
+        def execute():
+            res = independent_join_ratio(spec1, spec2, joint, n, stream, mcfg)
+            payload = {"probe": "ratio", "n": n, "ratio": res.ratio,
+                       "ci": res.ci, "pairs": res.pairs,
+                       "acceptance": list(res.acceptance), "ess": res.ess}
+            csv = ("n,ratio,ci,pairs,ess\n"
+                   f"{n},{res.ratio:.10g},{res.ci:.10g},{res.pairs},"
+                   f"{res.ess:.10g}\n")
+            return payload, csv
+    elif probe == "additivity":
         n_list = _as_int_list(_need(p, "n_list"), "params.n_list")
         samples = _as_int(_need(p, "samples"), "params.samples", minimum=1000)
-        rep = _wrap("params", lambda: entropy_additivity_experiment(
-            spec1, spec2, n_list, samples, stream, cross))
-        payload = json.loads(rep.to_json())
-        payload["probe"] = "additivity"
-        return payload, rep.to_csv()
-    raise ConfigError("params.probe must be ratio or additivity")
+        n = min(n_list)
+
+        def execute():
+            payload, csv = _report(_wrap("params", lambda: entropy_additivity_experiment(
+                spec1, spec2, n_list, samples, stream, cross)))
+            payload["probe"] = "additivity"
+            return payload, csv
+    else:
+        raise ConfigError("params.probe must be ratio or additivity")
+    return _Plan(execute, (("params.spec1", spec1, n, None),
+                           ("params.spec2", spec2, n, None)))
 
 
-def _run_example_5_3(cfg: ExperimentConfig, stream) -> Tuple[dict, str]:
+def _parse_example_5_3(p: Mapping[str, Any], stream) -> _Plan:
     from .freeness import (Example53Config, Example53Fixture,
                            example_5_3_fixture, example_5_3_runner)
-    p = cfg.params
     fx_obj = p.get("fixture", "default")
     if fx_obj == "default":
         fixture = example_5_3_fixture()
@@ -474,23 +512,26 @@ def _run_example_5_3(cfg: ExperimentConfig, stream) -> Tuple[dict, str]:
                         lambda: Example53Fixture.from_json(json.dumps(fx_obj)))
     else:
         raise ConfigError('params.fixture must be "default" or a fixture object')
+    _wrap("params.fixture", fixture.validate)
     n = _as_int(p.get("n", fixture.n), "params.n", minimum=1)
+    if n % fixture.n:
+        raise ConfigError(
+            f"params.n must be a multiple of the fixture size {fixture.n}")
     trials = _as_int(p.get("trials", 20), "params.trials", minimum=1)
-    rep = _wrap("params", lambda: example_5_3_runner(
-        fixture, n, Example53Config(trials=trials), stream))
-    return json.loads(rep.to_json()), rep.to_csv()
+    return _Plan(lambda: _report(_wrap("params", lambda: example_5_3_runner(
+        fixture, n, Example53Config(trials=trials), stream))))
 
 
-_RUNNERS: Dict[str, Callable] = {
-    "entropy": _run_entropy,
-    "freeness": _run_freeness,
-    "convolve": _run_convolve,
-    "gibbs": _run_gibbs,
-    "hopf-lax": _run_hopf_lax,
-    "wasserstein": _run_wasserstein,
-    "specht": _run_specht,
-    "independent-join": _run_independent_join,
-    "example-5-3": _run_example_5_3,
+_PARSERS: Dict[str, Callable[[Mapping[str, Any], Any], _Plan]] = {
+    "entropy": _parse_entropy,
+    "freeness": _parse_freeness,
+    "convolve": _parse_convolve,
+    "gibbs": _parse_gibbs,
+    "hopf-lax": _parse_hopf_lax,
+    "wasserstein": _parse_wasserstein,
+    "specht": _parse_specht,
+    "independent-join": _parse_independent_join,
+    "example-5-3": _parse_example_5_3,
 }
 
 
@@ -515,11 +556,11 @@ def _output_paths(config: ExperimentConfig) -> Tuple[str, str]:
 
 
 def run(config: ExperimentConfig) -> int:
-    """Execute one experiment; returns the process exit code."""
+    """Parse, then execute one experiment; returns the process exit code."""
     from .matrices import RngStream
     try:
-        runner = _RUNNERS[config.kind]
-        payload, csv_text = runner(config, RngStream(config.seed))
+        plan = _PARSERS[config.kind](config.params, RngStream(config.seed))
+        payload, csv_text = plan.execute()
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
@@ -544,11 +585,13 @@ def run(config: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def _smoke_spec(spec, n: int, seed: int, diagnostics: List[str], label: str) -> None:
-    """100 proposal draws; zero hits means the full run would see -inf."""
+def _smoke_spec(label: str, spec, n: int, proposal, seed: int,
+                diagnostics: List[str]) -> None:
+    """100 draws from the run's proposal; zero hits means the full run
+    would see -inf."""
     from .matrices import RngStream
     from .microstates import GaussianProposal, membership_mask
-    proposal = GaussianProposal.for_spec(spec)
+    proposal = proposal or GaussianProposal.for_spec(spec)
     rng = RngStream(seed).child(("validate-smoke", label, n)).generator()
     x = proposal.sample(n, 100, rng)
     hits = int(membership_mask(spec, x).sum())
@@ -559,91 +602,14 @@ def _smoke_spec(spec, n: int, seed: int, diagnostics: List[str], label: str) -> 
 
 
 def validate(config: ExperimentConfig) -> List[str]:
-    """Schema, formula-parse, and realizability diagnostics; never raises."""
+    """The run's own parse step plus a smoke run of its specs; never raises."""
+    from .matrices import RngStream
     diagnostics: List[str] = []
     try:
-        p = config.params
-        if config.kind == "entropy":
-            spec = _parse_spec(_need(p, "spec"), "params.spec")
-            n_list = _as_int_list(_need(p, "n_list"), "params.n_list")
-            _as_int(_need(p, "samples"), "params.samples", minimum=1000)
-            _smoke_spec(spec, min(n_list), config.seed, diagnostics, "params.spec")
-        elif config.kind == "independent-join":
-            spec1 = _parse_spec(_need(p, "spec1"), "params.spec1")
-            spec2 = _parse_spec(_need(p, "spec2"), "params.spec2")
-            cross = _parse_constraints(p.get("cross"), "params.cross")
-            from .freeness import product_spec
-            _wrap("params", lambda: product_spec(spec1, spec2, cross))
-            probe = p.get("probe", "ratio")
-            n = (min(_as_int_list(_need(p, "n_list"), "params.n_list"))
-                 if probe == "additivity"
-                 else _as_int(_need(p, "n"), "params.n", minimum=2))
-            _smoke_spec(spec1, n, config.seed, diagnostics, "params.spec1")
-            _smoke_spec(spec2, n, config.seed, diagnostics, "params.spec2")
-        elif config.kind == "gibbs":
-            _parse_potential(_need(p, "potential"), "params.potential")
-            _as_int(_need(p, "n"), "params.n", minimum=2)
-            _as_int(_need(p, "samples"), "params.samples", minimum=1)
-        elif config.kind == "hopf-lax":
-            potential = _parse_potential(_need(p, "potential"), "params.potential")
-            if _as_float(_need(p, "t"), "params.t") <= 0:
-                raise ConfigError("params.t must be positive")
-            from .matrices import RngStream
-            x = _parse_tuple(_need(p, "x"), "params.x", RngStream(config.seed),
-                             potential.self_adjoint)
-            if x.shape[0] != potential.d:
-                raise ConfigError(
-                    f"params.x has d={x.shape[0]} but the potential wants "
-                    f"{potential.d}")
-        elif config.kind == "freeness":
-            _parse_measure(_need(p, "base_x"), "params.base_x")
-            _parse_measure(_need(p, "base_y"), "params.base_y")
-            _as_int_list(_need(p, "n_list"), "params.n_list")
-            _as_int(_need(p, "max_len"), "params.max_len", minimum=1)
-            _as_int(_need(p, "trials"), "params.trials", minimum=1)
-        elif config.kind == "convolve":
-            _parse_measure(_need(p, "mu"), "params.mu")
-            _parse_measure(_need(p, "nu"), "params.nu")
-            _as_int(_need(p, "n"), "params.n", minimum=1)
-            _as_int(_need(p, "trials"), "params.trials", minimum=1)
-            _as_int(_need(p, "max_len"), "params.max_len", minimum=1)
-        elif config.kind == "wasserstein":
-            from .matrices import RngStream
-            mode = p.get("mode", "spectral")
-            if mode == "spectral":
-                _parse_measure(_need(p, "mu"), "params.mu")
-                _parse_measure(_need(p, "nu"), "params.nu")
-            elif mode == "matrix":
-                _parse_tuple(_need(p, "x"), "params.x", RngStream(config.seed), True)
-                _parse_tuple(_need(p, "y"), "params.y", RngStream(config.seed), True)
-            else:
-                raise ConfigError("params.mode must be spectral or matrix")
-        elif config.kind == "specht":
-            from .matrices import RngStream
-            _parse_tuple(_need(p, "x"), "params.x", RngStream(config.seed), False)
-            _as_int(_need(p, "max_len"), "params.max_len", minimum=1)
-            y = _need(p, "y")
-            if not (isinstance(y, Mapping) and y.get("kind") == "conjugate"):
-                _parse_tuple(y, "params.y", RngStream(config.seed), False)
-        elif config.kind == "example-5-3":
-            from .freeness import Example53Fixture, example_5_3_fixture
-            fx_obj = p.get("fixture", "default")
-            if fx_obj == "default":
-                fixture = example_5_3_fixture()
-            elif isinstance(fx_obj, Mapping):
-                fixture = _wrap("params.fixture", lambda: Example53Fixture
-                                .from_json(json.dumps(fx_obj)))
-            else:
-                raise ConfigError(
-                    'params.fixture must be "default" or a fixture object')
-            _wrap("params.fixture", fixture.validate)
-            n = _as_int(p.get("n", fixture.n), "params.n", minimum=1)
-            if n % fixture.n:
-                raise ConfigError(
-                    f"params.n must be a multiple of the fixture size {fixture.n}")
-    except ConfigError as e:
-        diagnostics.append(str(e))
-    except ValueError as e:
+        plan = _PARSERS[config.kind](config.params, RngStream(config.seed))
+        for label, spec, n, proposal in plan.smoke:
+            _smoke_spec(label, spec, n, proposal, config.seed, diagnostics)
+    except ValueError as e:  # ConfigError included
         diagnostics.append(str(e))
     return diagnostics
 

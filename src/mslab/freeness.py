@@ -40,8 +40,10 @@ from .microstates import (
     Constraint,
     GaussianProposal,
     NeighborhoodSpec,
+    _enc,
+    _ftxt,
     entropy_normalization,
-    log_volume_from_mask,
+    log_volume_from_hits,
 )
 from .microstates import membership_mask
 from .moments import MomentVector, free_convolve, free_product_moments
@@ -69,22 +71,6 @@ __all__ = [
 CONJUGATION_TOL = 1e-10
 
 MeasureSpec = Union[SpectralMeasure, Sequence[SpectralMeasure]]
-
-
-def _enc(v: float):
-    if v == float("-inf"):
-        return "-inf"
-    if v == float("inf"):
-        return "inf"
-    return v
-
-
-def _ftxt(v: float) -> str:
-    if v == float("-inf"):
-        return "-inf"
-    if v == float("inf"):
-        return "inf"
-    return f"{v:.10g}"
 
 
 # ---------------------------------------------------------------------------
@@ -555,11 +541,7 @@ def entropy_additivity_experiment(spec1: NeighborhoodSpec,
 
         def reduce(parts: List[np.ndarray]) -> Tuple[float, int]:
             w = np.concatenate(parts) if parts else np.empty(0)
-            mask = np.zeros(samples, dtype=bool)
-            mask[:w.size] = True
-            logw = np.zeros(samples)
-            logw[:w.size] = w
-            log_vol, _, k = log_volume_from_mask(mask, logw)
+            log_vol, _, k = log_volume_from_hits(w, samples)
             return log_vol, k
 
         lv1, k1 = reduce(hw1)

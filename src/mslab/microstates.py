@@ -56,6 +56,7 @@ __all__ = [
     "is_microstate",
     "membership_mask",
     "log_volume_from_mask",
+    "log_volume_from_hits",
     "integrated_autocorr_time",
     "estimate_volume",
     "estimate_entropy",
@@ -309,16 +310,20 @@ def log_volume_from_mask(mask: np.ndarray, log_weights: np.ndarray) -> Tuple[flo
     the delta method on log vol-hat:  Var(log) = B*S/A^2 - 1/S with
     A = sum w_i 1_i, B = sum w_i^2 1_i (computed under a common max shift).
     """
-    s = int(mask.size)
-    hits = int(mask.sum())
+    return log_volume_from_hits(log_weights[mask], int(mask.size))
+
+
+def log_volume_from_hits(hit_log_weights: np.ndarray,
+                         samples: int) -> Tuple[float, float, int]:
+    """log_volume_from_mask from the hits' log weights and the sample count."""
+    hits = int(hit_log_weights.size)
     if hits == 0:
         return float("-inf"), 0.0, 0
-    lw = log_weights[mask]
-    m = float(np.max(lw))
-    a = float(np.sum(np.exp(lw - m)))
-    b = float(np.sum(np.exp(2.0 * (lw - m))))
-    log_vol = m + math.log(a) - math.log(s)
-    var_log = b / (a * a) - 1.0 / s
+    m = float(np.max(hit_log_weights))
+    a = float(np.sum(np.exp(hit_log_weights - m)))
+    b = float(np.sum(np.exp(2.0 * (hit_log_weights - m))))
+    log_vol = m + math.log(a) - math.log(samples)
+    var_log = b / (a * a) - 1.0 / samples
     ci = 1.96 * math.sqrt(max(var_log, 0.0))
     return log_vol, ci, hits
 
@@ -352,22 +357,18 @@ def estimate_volume(spec: NeighborhoodSpec, n: int, samples: int,
             hit_logw.append(np.atleast_1d(logw))
         done += take
     logw = np.concatenate(hit_logw) if hit_logw else np.empty(0)
-    log_vol, ci, hits = _reduce_hits(logw, samples)
+    log_vol, ci, hits = log_volume_from_hits(logw, samples)
     return VolumeEstimate(n, spec.d, log_vol, ci, hits, samples)
 
 
-def _reduce_hits(hit_log_weights: np.ndarray, samples: int) -> Tuple[float, float, int]:
-    """Same reduction as log_volume_from_mask, from hit weights only."""
-    hits = int(hit_log_weights.size)
-    if hits == 0:
-        return float("-inf"), 0.0, 0
-    m = float(np.max(hit_log_weights))
-    a = float(np.sum(np.exp(hit_log_weights - m)))
-    b = float(np.sum(np.exp(2.0 * (hit_log_weights - m))))
-    log_vol = m + math.log(a) - math.log(samples)
-    var_log = b / (a * a) - 1.0 / samples
-    ci = 1.96 * math.sqrt(max(var_log, 0.0))
-    return log_vol, ci, hits
+def _enc(v: float):
+    """A float for a JSON report: +-inf become the strings "inf"/"-inf"."""
+    return str(v) if math.isinf(v) else v
+
+
+def _ftxt(v: float) -> str:
+    """A float for a CSV report: 10 significant digits, +-inf as inf/-inf."""
+    return f"{v:.10g}"
 
 
 @dataclass
@@ -383,23 +384,20 @@ class EntropyEstimate:
     trend_slope: float  # least-squares slope of h_n against 1/n^2
 
     def to_json(self) -> str:
-        def enc(v):
-            return "-inf" if v == float("-inf") else v
         return json.dumps({
             "n_values": self.n_values,
-            "h_n": [enc(v) for v in self.h_n],
+            "h_n": [_enc(v) for v in self.h_n],
             "ci_n": self.ci_n,
             "hits": self.hits,
             "samples": self.samples,
-            "trend": {"value": enc(self.trend_value), "slope": self.trend_slope},
+            "trend": {"value": _enc(self.trend_value), "slope": self.trend_slope},
         }, indent=2, sort_keys=True)
 
     def to_csv(self) -> str:
         lines = ["n,h_n,ci,hits,samples"]
         for n, h, ci, k, s in zip(self.n_values, self.h_n, self.ci_n,
                                   self.hits, self.samples):
-            htxt = "-inf" if h == float("-inf") else f"{h:.10g}"
-            lines.append(f"{n},{htxt},{ci:.10g},{k},{s}")
+            lines.append(f"{n},{_ftxt(h)},{ci:.10g},{k},{s}")
         return "\n".join(lines) + "\n"
 
 

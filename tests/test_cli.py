@@ -12,10 +12,12 @@ from mslab.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
     EXIT_OK,
+    THREAD_ENV_VARS,
     ConfigError,
     ExperimentConfig,
     _apply_thread_cap,
     main,
+    run,
     validate,
 )
 
@@ -43,6 +45,26 @@ def entropy_config(samples=2000, target=0.5, tol=0.4, formula="tr.re(x1 x1*)"):
 QUAD_POTENTIAL = {"formula": "tr.re(x1 x1*)",
                   "bounds": {"a": 0.0, "b": 1.0, "A": 0.0, "B": 1.0},
                   "self_adjoint": True}
+
+# Configs that a run's parse step rejects (exit 2) before any numerics.
+PARSE_REJECTED = [
+    ("gibbs", {"potential": QUAD_POTENTIAL, "n": 8, "samples": 10,
+               "thin": 0}),
+    ("hopf-lax", {"potential": QUAD_POTENTIAL, "t": 0.1, "z_samples": 0,
+                  "x": {"kind": "gaussian", "n": 4}}),
+    ("convolve", {"mu": [{"kind": "point", "location": 0.0}],
+                  "nu": {"kind": "point", "location": 0.0},
+                  "n": 4, "trials": 1, "max_len": 2}),
+    ("wasserstein", {"mode": "matrix",
+                     "x": {"kind": "gaussian", "n": 3, "d": 2},
+                     "y": {"kind": "gaussian", "n": 3}}),
+    ("example-5-3", {"trials": 0}),
+    ("specht", {"x": {"kind": "gaussian", "n": 3}, "y": {"kind": "conjugate"},
+                "max_len": 2, "budget": 0}),
+    ("freeness", {"base_x": [{"kind": "point", "location": 0.0}],
+                  "base_y": [{"kind": "point", "location": 1.0}],
+                  "n_list": [4], "max_len": 2, "trials": 1, "eps": "x"}),
+]
 
 
 class TestConfigEnvelope:
@@ -224,9 +246,25 @@ class TestValidateMode:
                           "n": 4, "trials": 1, "max_len": 2}),
             ("freeness", {"base_x": [], "base_y": [], "n_list": [4],
                           "max_len": 2, "trials": 1}),
-        ]:
+        ] + PARSE_REJECTED:
             diags = validate(ExperimentConfig(kind, params))
             assert diags, f"{kind} accepted malformed params"
+
+    def test_validate_rejects_what_run_rejects(self, tmp_path):
+        for i, (kind, params) in enumerate(PARSE_REJECTED):
+            cfg = ExperimentConfig(kind, params, 1, str(tmp_path / f"{i}.json"))
+            assert run(cfg) == EXIT_CONFIG, kind
+            assert validate(cfg), f"validate passed {kind} but run rejects it"
+
+    def test_smoke_uses_the_runs_proposal(self, tmp_path):
+        data = entropy_config(target=0.5, tol=0.3)
+        data["seed"] = 3
+        default = ExperimentConfig.from_data(data)
+        assert any("0 of 100" in d for d in validate(default))
+        data["params"]["proposal"] = {"herm": [0.5], "skew": [0.5]}
+        tuned = ExperimentConfig.from_data(data, out=str(tmp_path / "t.json"))
+        assert validate(tuned) == []
+        assert run(tuned) == EXIT_OK
 
     def test_example_5_3_default_is_clean(self):
         assert validate(ExperimentConfig("example-5-3", {"trials": 3})) == []
@@ -381,3 +419,21 @@ def test_console_entry_subprocess(tmp_path):
         env={**os.environ, "MSLAB_THREADS": "1"})
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == []
+
+
+def test_report_bytes_do_not_depend_on_thread_count(tmp_path):
+    data = entropy_config()
+    data["params"]["n_list"] = [4, 8]
+    cfg_path = write_config(tmp_path, data)
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_ENV_VARS}
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"t{threads}.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "mslab.cli", "entropy", "--config", cfg_path,
+             "--out", str(out)],
+            capture_output=True, text=True, timeout=300,
+            env={**env, "MSLAB_THREADS": threads})
+        assert proc.returncode == 0, proc.stderr
+        outputs.append((out.read_bytes(), (tmp_path / f"t{threads}.csv").read_bytes()))
+    assert outputs[0] == outputs[1]
