@@ -287,9 +287,13 @@ def _report(rep) -> Tuple[dict, str]:
 
 
 def _parse_entropy(p: Mapping[str, Any], stream) -> _Plan:
-    from .microstates import GaussianProposal, estimate_entropy
+    from .microstates import DEFAULT_N_CAP, GaussianProposal, estimate_entropy
     spec = _parse_spec(_need(p, "spec"), "params.spec")
     n_list = _as_int_list(_need(p, "n_list"), "params.n_list")
+    if n_list != sorted(n_list):
+        raise ConfigError("params.n_list must be ascending")
+    if max(n_list) > DEFAULT_N_CAP:
+        raise ConfigError(f"params.n_list exceeds the cap n <= {DEFAULT_N_CAP}")
     samples = _as_int(_need(p, "samples"), "params.samples", minimum=1000)
     proposal = None
     if "proposal" in p:
@@ -414,6 +418,9 @@ def _parse_wasserstein(p: Mapping[str, Any], stream) -> _Plan:
         y = _parse_tuple(_need(p, "y"), "params.y", stream, True)
         if x.shape[0] != 1 or y.shape[0] != 1:
             raise ConfigError("matrix mode compares two single matrices")
+        if x.shape != y.shape:
+            raise ConfigError("params.x and params.y must have the same n, "
+                              f"got {x.shape[-1]} and {y.shape[-1]}")
 
         def distance():
             return _wrap("params", lambda: wasserstein_matrix(x[0], y[0]))
@@ -437,6 +444,9 @@ def _parse_specht(p: Mapping[str, Any], stream) -> _Plan:
         y = u @ x @ u.conj().T
     else:
         y = _parse_tuple(y_obj, "params.y", stream, False)
+        if x.shape != y.shape:
+            raise ConfigError("params.x and params.y must share (d, n, n), "
+                              f"got {x.shape} and {y.shape}")
     max_len = _as_int(_need(p, "max_len"), "params.max_len", minimum=1)
     budget = _as_int(p.get("budget", 300_000), "params.budget", minimum=1)
 

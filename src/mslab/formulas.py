@@ -29,7 +29,7 @@ from __future__ import annotations
 import re
 import warnings
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
+from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -48,6 +48,7 @@ __all__ = [
     "EvalInfo",
     "eval_polynomial",
     "eval_trace_polynomial",
+    "word_trace_table",
     "eval_formula",
     "eval_formula_info",
     "cyclic_gradient",
@@ -340,27 +341,20 @@ def eval_polynomial(poly: StarPolynomial, x) -> np.ndarray:
     return out
 
 
-def eval_trace_polynomial(poly: StarPolynomial, x) -> Union[complex, np.ndarray]:
-    """Normalized trace of a *-polynomial at a matrix tuple, batched.
+def _sorted_word_traces(words, env, n: int) -> list:
+    """tr_n(w(X)) for each word of a letter-sorted list, in that order.
 
-    Equivalent to normalized_trace(eval_polynomial(...)) but cheaper: words
-    are evaluated in sorted order with a shared-prefix product stack and the
-    final letter is contracted directly into the trace.
+    One shared-prefix walk: only the current path of prefix products (at
+    most L-1 stacks) is kept, each formed left to right, and the last letter
+    is contracted straight into the trace.  The empty word gives 1.0.
     """
-    env = _env_from(x)
     adj_cache: Dict[int, np.ndarray] = {}
-    some = next(iter(env.values())) if env else None
-    n = some.shape[-1] if some is not None else 1
-    batch = some.shape[:-2] if some is not None else ()
-    total = np.zeros(batch, dtype=np.complex128)
-
-    words = sorted(poly.terms.keys(), key=lambda w: w.letters)
     stack: list = []  # (letter, running prefix product)
+    traces = []
     for w in words:
-        c = poly.terms[w]
         letters = w.letters
         if not letters:
-            total = total + c
+            traces.append(1.0)
             continue
         keep = 0
         while keep < len(stack) and keep < len(letters) - 1 and stack[keep][0] == letters[keep]:
@@ -369,14 +363,55 @@ def eval_trace_polynomial(poly: StarPolynomial, x) -> Union[complex, np.ndarray]
         while len(stack) < len(letters) - 1:
             letter = letters[len(stack)]
             m = _letter_matrix(letter, env, adj_cache)
-            prod = m if not stack else stack[-1][1] @ m
-            stack.append((letter, prod))
+            # no local name for the product: a dropped prefix must be freed
+            # before the next one is allocated
+            stack.append((letter, m if not stack else stack[-1][1] @ m))
         last = _letter_matrix(letters[-1], env, adj_cache)
         if len(letters) == 1:
-            tr = normalized_trace(last)
+            traces.append(normalized_trace(last))
         else:
-            tr = np.einsum("...ij,...ji->...", stack[-1][1], last) / n
-        total = total + c * tr
+            traces.append(np.einsum("...ij,...ji->...", stack[-1][1], last) / n)
+    return traces
+
+
+def _batch_and_dim(env) -> Tuple[Tuple[int, ...], int]:
+    some = next(iter(env.values()), None)
+    return (some.shape[:-2], some.shape[-1]) if some is not None else ((), 1)
+
+
+def word_trace_table(words: Sequence[StarWord], x) -> np.ndarray:
+    """Normalized traces of many *-words at one matrix tuple, batched.
+
+    ``x`` is anything ``eval_polynomial`` takes.  Returns a complex array of
+    shape (len(words), *batch) whose row i is tr_n(words[i](X)); the words
+    may come in any order and repeat, and the empty word gives 1.  All rows
+    come from one walk in sorted letter order that shares prefix products.
+    """
+    env = _env_from(x)
+    batch, n = _batch_and_dim(env)
+    words = list(words)
+    out = np.empty((len(words),) + batch, dtype=np.complex128)
+    order = sorted(range(len(words)), key=lambda i: words[i].letters)
+    traces = _sorted_word_traces([words[i] for i in order], env, n)
+    for i, tr in zip(order, traces):
+        out[i] = tr
+    return out
+
+
+def eval_trace_polynomial(poly: StarPolynomial, x) -> Union[complex, np.ndarray]:
+    """Normalized trace of a *-polynomial at a matrix tuple, batched.
+
+    Equivalent to normalized_trace(eval_polynomial(...)) but cheaper: the
+    coefficient-weighted sum, in sorted word order, of the word traces from
+    the shared-prefix walk behind ``word_trace_table``.
+    """
+    env = _env_from(x)
+    batch, n = _batch_and_dim(env)
+    total = np.zeros(batch, dtype=np.complex128)
+    words = sorted(poly.terms.keys(), key=lambda w: w.letters)
+    for w, tr in zip(words, _sorted_word_traces(words, env, n)):
+        c = poly.terms[w]
+        total = total + (c * tr if w.letters else c)
     return total if batch else complex(total)
 
 
@@ -659,6 +694,13 @@ def _tokenize(text: str):
     return out
 
 
+def _finite(value, what: str):
+    """Every number a parsed formula stores must be finite."""
+    if not np.isfinite(value):
+        raise ValueError(f"{what} {value!r} is not finite")
+    return value
+
+
 class _Parser:
     def __init__(self, tokens):
         self.toks = tokens
@@ -703,6 +745,7 @@ class _Parser:
                 sign = 1.0 if v == "+" else -1.0
                 continue
             break
+        _finite(const, "constant")
         if not args:
             return Connective("affine", (), (), const)
         if const == 0.0 and len(args) == 1 and coeffs[0] == 1.0:
@@ -720,8 +763,7 @@ class _Parser:
                 scalar = -scalar
                 continue
             if k == "num":
-                self.next()
-                scalar *= float(v)
+                scalar *= self.number()
             else:
                 factors.append(self.atom())
             k, v = self.peek()
@@ -729,6 +771,7 @@ class _Parser:
                 self.next()
                 continue
             break
+        _finite(scalar, "scalar factor")
         if not factors:
             return scalar, None
         node = factors[0] if len(factors) == 1 else Connective("product", tuple(factors))
@@ -768,7 +811,7 @@ class _Parser:
             self.expect("kw", "in")
             self.expect("kw", "D")
             self.expect("punct", "(")
-            radius = float(self.expect("num"))
+            radius = self.number()
             self.expect("punct", ")")
             self.expect("punct", "}")
             body = self.atom_or_paren()
@@ -798,6 +841,8 @@ class _Parser:
                 sign = 1.0 if v == "+" else -1.0
                 continue
             break
+        for c in terms.values():
+            _finite(c, "coefficient")
         return StarPolynomial(terms)
 
     def pterm(self):
@@ -823,8 +868,7 @@ class _Parser:
                 raise ValueError("parenthesized groups inside tr(...) must be "
                                  "complex coefficients like (1.0+2.0i)")
         elif k == "num":
-            self.next()
-            coeff = complex(float(v), 0.0)
+            coeff = complex(self.number(), 0.0)
             have_coeff = True
             if self.peek()[0] == "imag":
                 self.next()
@@ -849,7 +893,10 @@ class _Parser:
         if k == "punct" and v == "-":
             self.next()
             sign = -1.0
-        return sign * float(self.expect("num"))
+        return sign * self.number()
+
+    def number(self) -> float:
+        return _finite(float(self.expect("num")), "number")
 
 
 def parse_formula(text: str) -> Formula:

@@ -41,14 +41,13 @@ import numpy as np
 
 from .formulas import (
     Formula,
-    StarPolynomial,
     cyclic_gradient,
     eval_formula,
-    eval_trace_polynomial,
     format_formula,
     formula_depth,
     formula_free_variables,
     parse_formula,
+    word_trace_table,
 )
 from .matrices import (
     RngStream,
@@ -300,11 +299,8 @@ def sample_gibbs_moments(potential: Potential, n: int, burn_in: int,
     values: Dict[str, complex] = {}
     ci: Dict[str, float] = {}
     tau_main = 1.0
-    for word in all_words(d, max_len):
-        if len(word.letters) == 0:
-            continue
-        series = np.asarray(
-            eval_trace_polynomial(StarPolynomial.monomial(word), stack))
+    words = [w for w in all_words(d, max_len) if w.letters]
+    for word, series in zip(words, word_trace_table(words, stack)):
         mean = complex(series.mean())
         tau = max(integrated_autocorr_time(series.real),
                   integrated_autocorr_time(series.imag)

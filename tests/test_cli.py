@@ -46,6 +46,14 @@ QUAD_POTENTIAL = {"formula": "tr.re(x1 x1*)",
                   "bounds": {"a": 0.0, "b": 1.0, "A": 0.0, "B": 1.0},
                   "self_adjoint": True}
 
+
+def hitting_entropy(formula="tr.re(x1 x1*)", **params):
+    """Entropy params whose smoke draws hit, so only the parse can reject."""
+    spec = {"d": 1, "r": 4.0, "kind": "full",
+            "constraints": [{"formula": formula, "target": 1.0, "tol": 0.5}]}
+    return {"spec": spec, "n_list": [4], "samples": 2000, **params}
+
+
 # Configs that a run's parse step rejects (exit 2) before any numerics.
 PARSE_REJECTED = [
     ("gibbs", {"potential": QUAD_POTENTIAL, "n": 8, "samples": 10,
@@ -64,6 +72,17 @@ PARSE_REJECTED = [
     ("freeness", {"base_x": [{"kind": "point", "location": 0.0}],
                   "base_y": [{"kind": "point", "location": 1.0}],
                   "n_list": [4], "max_len": 2, "trials": 1, "eps": "x"}),
+    ("wasserstein", {"mode": "matrix", "x": {"kind": "gaussian", "n": 3},
+                     "y": {"kind": "gaussian", "n": 4}}),
+    ("specht", {"x": {"kind": "gaussian", "n": 3},
+                "y": {"kind": "gaussian", "n": 4}, "max_len": 2}),
+    ("entropy", hitting_entropy(n_list=[8, 4])),
+    ("entropy", hitting_entropy(n_list=[4, 32])),
+] + [
+    # numbers that overflow to inf: a coefficient, a folded product, a radius
+    ("entropy", hitting_entropy(f))
+    for f in ("1e400*tr.re(x1)", "tr.re(1e400 x1)", "1e200*1e200*tr.re(x1)",
+              "sup{y1 in D(1e400)} (tr.re(y1 x1*))")
 ]
 
 

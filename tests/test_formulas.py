@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mslab.formulas import (
     BOUND_OFFSET,
@@ -22,6 +24,7 @@ from mslab.formulas import (
     formula_free_variables,
     parse_formula,
     parse_polynomial,
+    word_trace_table,
 )
 from mslab.matrices import (
     RngStream,
@@ -30,6 +33,7 @@ from mslab.matrices import (
     sample_haar_unitary,
     tuple_hs_inner,
 )
+from mslab.moments import all_words
 from mslab.optimize import OptConfig
 
 from oracles import trace_norm_normalized
@@ -113,6 +117,72 @@ def test_trace_polynomial_batched():
     for i in range(7):
         assert vals[i] == pytest.approx(
             complex(eval_trace_polynomial(p, x[:, i])), abs=1e-12)
+
+
+def _reference_trace(word, x):
+    """tr_n of a word by plain left-to-right products, one word at a time."""
+    x = np.asarray(x, dtype=np.complex128)
+    mats = [np.conj(np.swapaxes(x[i - 1], -1, -2)) if star else x[i - 1]
+            for i, star in word.letters]
+    n = x.shape[-1]
+    if len(mats) == 1:
+        return np.trace(mats[0], axis1=-2, axis2=-1) / n
+    prefix = mats[0]
+    for m in mats[1:-1]:
+        prefix = prefix @ m
+    return np.einsum("...ij,...ji->...", prefix, mats[-1]) / n
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("batch", [(), (5,)])
+def test_word_trace_table_bitwise_matches_left_to_right_products(d, batch):
+    x = sample_ginibre(4, RngStream(74 + d).generator(), size=(d,) + batch)
+    words = [w for w in all_words(d, 4) if w.letters]
+    table = word_trace_table(words, x)
+    assert table.shape == (len(words),) + batch
+    assert table.dtype == np.complex128
+    ref = np.array([_reference_trace(w, x) for w in words])
+    assert table.tobytes() == ref.tobytes()
+    for w, row in zip(words[:12], table):
+        assert np.array_equal(
+            row, eval_trace_polynomial(StarPolynomial.monomial(w), x))
+
+
+def test_word_trace_table_any_order_repeats_and_empty_word():
+    x = sample_ginibre(3, RngStream(76).generator(), size=(2, 4))
+    # "x1 x2 x1" and "x1 x2* x1 x1" share no length-2 prefix: the star counts
+    words = [StarWord.parse(t) for t in
+             ["x2 x1*", "x1 x2* x1 x1", "x1", "x2 x1*", "x1 x2 x1"]] + [StarWord()]
+    table = word_trace_table(words, x)
+    assert table.shape == (6, 4)
+    for w, row in zip(words[:5], table):
+        assert row.tobytes() == _reference_trace(w, x).tobytes()
+    assert np.array_equal(table[0], table[3])
+    assert np.array_equal(table[5], np.ones(4))
+    assert word_trace_table([], x).shape == (0, 4)
+
+
+_LETTERS = st.tuples(st.integers(1, 2), st.booleans())
+_WORD_CASES = dict(word=st.lists(_LETTERS, min_size=1, max_size=6),
+                   n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(**_WORD_CASES)
+def test_word_trace_is_cyclic(word, n, seed):
+    x = sample_ginibre(n, RngStream(seed).generator(), size=(2,))
+    rotations = [StarWord(tuple(word[k:] + word[:k])) for k in range(len(word))]
+    table = word_trace_table(rotations, x)
+    assert np.allclose(table, table[0], rtol=0.0, atol=1e-12)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(**_WORD_CASES)
+def test_word_trace_of_adjoint_is_conjugate(word, n, seed):
+    x = sample_ginibre(n, RngStream(seed).generator(), size=(2,))
+    w = StarWord(tuple(word))
+    table = word_trace_table([w, w.adjoint()], x)
+    assert abs(table[1] - np.conj(table[0])) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +310,12 @@ def test_polynomial_parse_format_roundtrip():
 
 def test_parser_rejects_garbage():
     for bad in ["tr.re(x1", "sup{x1 in D(1.0)} (tr.re(x1))", "tr.re(x0*)+",
-                "max(tr.re(x1))", "tr.re(x1) ** tr.re(x1)", "frob(x1)"]:
+                "max(tr.re(x1))", "tr.re(x1) ** tr.re(x1)", "frob(x1)",
+                # numbers that are or overflow to inf
+                "1e400*tr.re(x1)", "tr.re(1e400 x1)", "1e200*1e200*tr.re(x1)",
+                "sup{y1 in D(1e400)} (tr.re(y1 x1*))", "1e308 + 1e308",
+                "tr.re(1e308 x1 + 1e308 x1)", "tr.re(1e400i x1)",
+                "tr.re((1.0-1e400i) x1)"]:
         with pytest.raises(ValueError):
             parse_formula(bad)
 
