@@ -694,10 +694,14 @@ def _tokenize(text: str):
     return out
 
 
+class _NotFinite(ValueError):
+    pass
+
+
 def _finite(value, what: str):
     """Every number a parsed formula stores must be finite."""
     if not np.isfinite(value):
-        raise ValueError(f"{what} {value!r} is not finite")
+        raise _NotFinite(f"{what} {value!r} is not finite")
     return value
 
 
@@ -863,6 +867,8 @@ class _Parser:
                 self.expect("punct", ")")
                 coeff = complex(re_part, im_part if v2 == "+" else -im_part)
                 have_coeff = True
+            except _NotFinite:
+                raise
             except ValueError:
                 self.i = save
                 raise ValueError("parenthesized groups inside tr(...) must be "

@@ -326,15 +326,18 @@ def dyson_schwinger_quartic(g: float, max_len: int = 8,
 
         M_p + 4 g M_{p+1} = sum_{a=0}^{p-1} M_a M_{p-1-a},
 
-    which we solve by damped ascending sweeps on L_p = log M_p over a deep
-    truncated window (log-sum-exp keeps the window top, around e^340, exact
-    in floats; a linear-in-log extrapolation closes the window edge).  g = 0
-    degenerates to the Catalan recurrence.  Truncation is only insulated
-    from the reported moments while the downward damping factors 4 g
-    M_{p+1}/M_p stay below 1 along the window, which fails past g ~ 0.13;
-    the accumulated damping is measured on the converged window, and a
-    leaky window raises the non-convergence error instead of returning a
-    plausible-looking wrong answer.
+    which we solve by damped, clamped Jacobi sweeps on L_p = log M_p over a
+    deep truncated window, every p updated at once from the previous sweep
+    (a linear-in-log extrapolation closes the window edge).  The window top
+    sits around e^340, so each sweep takes the convolution on the rescaled
+    u_p = M_p e^{-s p}, s = (L_W - L_0) / W, which stays in float range, and
+    adds s p back in log space.  g = 0 degenerates to the Catalan
+    recurrence.  Truncation is only insulated from the reported moments
+    while the downward damping factors 4 g M_{p+1}/M_p multiply to under
+    1e-12 along the window; that product is measured on the converged
+    window, and a leaky window raises the non-convergence error instead of
+    returning a plausible-looking wrong answer.  Measured at max_len=8: g =
+    0.104 returns, g = 0.105 raises "not insulated", and larger g raise.
     """
     if g < 0 or g > 0.5:
         raise ValueError("g must lie in [0, 0.5]")
@@ -343,29 +346,29 @@ def dyson_schwinger_quartic(g: float, max_len: int = 8,
     log_tol = tol / 10.0
     damping, clamp = 0.5, 1.0
     ell = np.zeros(window + 2)
-    for p in range(1, window + 2):
-        ell[p] = ell[p - 1] + math.log(4.0 * (2 * p - 1) / (p + 2))  # Catalan
+    q = np.arange(1, window + 2)
+    ell[1:] = np.cumsum(np.log(4.0 * (2 * q - 1) / (q + 2)))  # Catalan
     lg4 = math.log(4.0 * g) if g > 0 else None
+    shift = np.arange(window)
     clean = 0
     for sweep in range(max_iter):
         prev = ell.copy()
-        patched = 0
-        for p in range(1, window + 1):
-            v = ell[:p] + ell[p - 1::-1][:p]
-            vm = float(v.max())
-            lconv = vm + math.log(float(np.exp(v - vm).sum()))
-            if lg4 is None:
-                target = lconv
-            else:
-                diff = lg4 + prev[p + 1] - lconv
-                if diff >= -1e-15:
-                    # transient can push the tail past conv; damp through it
-                    patched += 1
-                    target = lconv - 7.0
-                else:
-                    target = lconv + math.log1p(-math.exp(diff))
-            step = damping * (target - ell[p])
-            ell[p] += max(-clamp, min(clamp, step))
+        # log sum_{a<p} M_a M_{p-1-a} for p = 1..window, via the rescaled u
+        s = (ell[window] - ell[0]) / window
+        u = np.exp(ell[:window] - s * shift)
+        lconv = np.log(np.convolve(u, u)[:window]) + s * shift
+        if lg4 is None:
+            target = lconv
+            patched = 0
+        else:
+            diff = lg4 + prev[2:] - lconv
+            # transient can push the tail past conv; damp through it
+            hit = diff >= -1e-15
+            patched = int(hit.sum())
+            target = np.where(hit, lconv - 7.0,
+                              lconv + np.log1p(-np.exp(np.minimum(diff, -1e-15))))
+        ell[1:window + 1] += np.clip(damping * (target - prev[1:window + 1]),
+                                     -clamp, clamp)
         ell[window + 1] = 2.0 * ell[window] - ell[window - 1]
         if not np.all(np.isfinite(ell)):
             raise RuntimeError(f"loop-equation iteration diverged for g={g}")

@@ -318,6 +318,13 @@ def test_parser_rejects_garbage():
                 "tr.re((1.0-1e400i) x1)"]:
         with pytest.raises(ValueError):
             parse_formula(bad)
+    # a coefficient group names its overflowing part ...
+    for bad in ["tr.re((1.0-1e400i) x1)", "tr.re((1e400+1.0i) x1)"]:
+        with pytest.raises(ValueError, match="is not finite"):
+            parse_formula(bad)
+    # ... and a malformed group keeps the generic message
+    with pytest.raises(ValueError, match="must be complex coefficients"):
+        parse_formula("tr.re((1.0+2.0) x1)")
 
 
 def test_free_and_bound_variables():

@@ -248,6 +248,46 @@ def test_loop_equation_m2_decreasing_in_g():
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
+# m2, m4, m6, m8 at max_len=8 from the per-p Gauss-Seidel log-sum-exp solver
+# that the Jacobi sweep replaced.
+GAUSS_SEIDEL_MOMENTS = {
+    0.0: (1.0000000000000002, 2.0000000000000138, 5.000000000000405,
+          14.000000000008235),
+    0.01: (0.9316864463920489, 1.7078388401987767, 3.888351314633031,
+           9.884150003879162),
+    0.025: (0.8576432117075772, 1.4235678829242278, 2.917185404909265,
+            6.6550223952727725),
+    0.05: (0.772819551369983, 1.1359022431500847, 2.048684297949406,
+           4.101851236652324),
+    0.075: (0.7131483274038106, 0.956172241987298, 1.5670813760677447,
+            2.846145482619014),
+    0.1: (0.6676214943748915, 0.8309462640627711, 1.2607418117175295,
+          2.117172940398439),
+    0.104: (0.661266828198949, 0.8142624322140649, 1.2218058273649834,
+            2.028828978700589),
+}
+
+
+@pytest.mark.parametrize("g", sorted(GAUSS_SEIDEL_MOMENTS))
+def test_loop_equation_matches_gauss_seidel_solver(g):
+    mv = dyson_schwinger_quartic(g, max_len=8)
+    for k, old in zip((2, 4, 6, 8), GAUSS_SEIDEL_MOMENTS[g]):
+        assert mv[" ".join(["x1"] * k)].real == pytest.approx(old, rel=1e-12, abs=0)
+
+
+def test_loop_equation_m2_matches_closed_form_on_grid():
+    for g in np.linspace(0.0, 0.1, 21):
+        m2 = dyson_schwinger_quartic(float(g), max_len=2)["x1 x1"].real
+        assert abs(m2 - oracles.quartic_m2_closed_form(float(g))) < 1e-12
+
+
+def test_loop_equation_insulation_boundary():
+    dyson_schwinger_quartic(0.104, max_len=8)
+    for g in (0.105, 0.12, 0.13, 0.5):
+        with pytest.raises(RuntimeError, match=f"for g={g}"):
+            dyson_schwinger_quartic(g, max_len=8)
+
+
 def test_loop_equation_nonconvergence_for_large_g():
     with pytest.raises(RuntimeError):
         dyson_schwinger_quartic(0.3, max_len=2)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mslab.matrices import (
     RngStream,
@@ -45,6 +47,21 @@ def test_project_scalar_case():
     two_eye = 2.0 * np.eye(4, dtype=complex)[None]
     p = project_opnorm_ball(two_eye, 1.0)
     assert np.allclose(p[0], np.eye(4), atol=1e-12)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(k=st.integers(1, 4), n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+       scale=st.floats(0.01, 5.0), radius=st.floats(0.1, 3.0),
+       inside=st.floats(0.0, 1.0))
+def test_project_property(k, n, seed, scale, radius, inside):
+    x = sample_ginibre(n, RngStream(seed).generator(), size=(k,), scale=scale)
+    p = project_opnorm_ball(x, radius)
+    assert np.linalg.norm(p, ord=2, axis=(-2, -1)).max() <= radius + 1e-12
+    assert np.abs(project_opnorm_ball(p, radius) - p).max() <= 1e-12
+    # a stack already inside the ball comes back unchanged
+    norms = np.linalg.norm(x, ord=2, axis=(-2, -1))
+    x_in = x * (inside * radius / norms.max())
+    assert np.abs(project_opnorm_ball(x_in, radius) - x_in).max() <= 1e-12
 
 
 def test_ball_linear_objective_matches_trace_norm_duality():
