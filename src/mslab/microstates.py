@@ -185,12 +185,36 @@ class GaussianProposal:
         return GaussianProposal.isotropic(spec.d, min(1.0, spec.r))
 
     def sample(self, n: int, count: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw a (d, count, n, n) stack."""
+        """Draw a (d, count, n, n) stack.
+
+        Bit for bit herm[j]*G1 + 1j*skew[j]*G2 with G1, G2 from ``sample_gue``,
+        but composed in place from the same normals (G1 re, G1 im, G2 re,
+        G2 im per variable): G = (cA + (cA)^T) r + i (cB - (cB)^T) r with
+        c = 1/sqrt(2n), r = 1/sqrt(2), so
+        re X = h re G1 - s im G2 and im X = h im G1 + s re G2.
+        Multiplying by r, not dividing by sqrt(2), matches numpy's complex
+        division by a real scalar.
+        """
         out = np.empty((self.d, count, n, n), dtype=np.complex128)
+        c = 1.0 / np.sqrt(2.0 * n)
+        r = 1.0 / np.sqrt(2.0)
+        draw = np.empty((count, n, n))
+        part = np.empty((count, n, n))
+
+        def symmetrized(op) -> np.ndarray:
+            """(cA op (cA)^T) r for the next block A of normals."""
+            rng.standard_normal(out=draw)
+            np.multiply(draw, c, out=draw)
+            op(draw, np.swapaxes(draw, -1, -2), out=part)
+            return np.multiply(part, r, out=part)
+
         for j in range(self.d):
-            g1 = sample_gue(n, rng, size=(count,))
-            g2 = sample_gue(n, rng, size=(count,))
-            out[j] = self.herm[j] * g1 + 1j * self.skew[j] * g2
+            h, s = self.herm[j], self.skew[j]
+            re, im = out[j].real, out[j].imag
+            np.multiply(symmetrized(np.add), h, out=re)
+            np.multiply(symmetrized(np.subtract), h, out=im)
+            im += np.multiply(symmetrized(np.add), s, out=part)
+            re -= np.multiply(symmetrized(np.subtract), s, out=part)
         return out
 
     def log_density(self, x: np.ndarray) -> np.ndarray:
@@ -253,8 +277,12 @@ def membership_mask(spec: NeighborhoodSpec, x: np.ndarray,
                     opt_cfg: Optional[EvalConfig] = None) -> np.ndarray:
     """Boolean in-mask for a (d, S, n, n) stack of candidate tuples.
 
-    Quantifier-free specs evaluate in one batched pass; specs with quantified
-    constraints fall back to per-sample verdicts (boundary counts as out).
+    Quantifier-free specs evaluate batched, each constraint only on the
+    samples that passed the ones before it.  Specs with quantified
+    constraints take per-sample verdicts (boundary counts as out); full-type
+    specs first drop, batched, the samples that the HS norm or a
+    quantifier-free constraint clearly puts out, with a margin that only
+    keeps more samples, so ``is_microstate`` still decides every verdict.
     """
     x = np.asarray(x, dtype=np.complex128)
     d, s = x.shape[0], x.shape[1]
@@ -272,17 +300,42 @@ def membership_mask(spec: NeighborhoodSpec, x: np.ndarray,
             band = mask & (sqrt_n * hj > spec.r)
             if band.any():
                 mask[band] &= operator_norm(x[j][band]) <= spec.r
-        for c in spec.constraints:
-            if not mask.any():
-                break
-            vals = np.asarray(eval_formula(c.formula, x))
-            mask &= np.abs(vals - c.target) < c.tol
-        return mask
+        return _narrow_by_constraints(mask, x, spec.constraints)
     cfg = opt_cfg or EvalConfig()
     out = np.zeros(s, dtype=bool)
-    for i in range(s):
+    if spec.kind == "existential":
+        candidates = range(s)
+    else:
+        # batched and single-sample evaluations may differ in the last bits,
+        # so a sample is dropped only when it misses by more than that
+        slack = 1.0 + 1e-9
+        keep = np.ones(s, dtype=bool)
+        for j in range(d):
+            keep &= np.atleast_1d(hs_norm(x[j])) <= spec.r * slack
+        qf = [c for c in spec.constraints if formula_depth(c.formula) == 0]
+        candidates = np.flatnonzero(
+            _narrow_by_constraints(keep, x, qf, slack, 1e-12))
+    for i in candidates:
         out[i] = is_microstate(x[:, i], spec, cfg) == "in"
     return out
+
+
+def _narrow_by_constraints(mask: np.ndarray, x: np.ndarray,
+                           constraints: Sequence[Constraint],
+                           slack: float = 1.0, pad: float = 0.0) -> np.ndarray:
+    """Keep, in place, the samples with |phi - target| < tol*slack + pad.
+
+    Constraints go in order, each evaluated batched on the samples still in
+    the mask only (the whole stack while every sample survives).
+    """
+    for c in constraints:
+        idx = np.flatnonzero(mask)
+        if not idx.size:
+            break
+        sub = x if idx.size == mask.size else x[:, idx]
+        vals = np.asarray(eval_formula(c.formula, sub))
+        mask[idx] = np.abs(vals - c.target) < c.tol * slack + pad
+    return mask
 
 
 # ---------------------------------------------------------------------------

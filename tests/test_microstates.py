@@ -2,13 +2,17 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
-from mslab.formulas import EvalConfig
-from mslab.matrices import RngStream, sample_gue
+from mslab.formulas import EvalConfig, eval_formula
+from mslab.matrices import RngStream, operator_norm, sample_gue, sample_haar_unitary
+from mslab.optimize import OptConfig
 from mslab.microstates import (
     Constraint,
     FeasibilityError,
@@ -110,8 +114,104 @@ def test_membership_mask_full_kind_same_formulas_bitwise():
     assert np.array_equal(membership_mask(qf, x), membership_mask(full, x))
 
 
+def box_spec(quantified=False):
+    """Degree <= 4 moment box around the standard semicircle.
+
+    ``quantified`` appends the normalized trace norm, as a sup, at 0.8 +- 0.2.
+    """
+    cons = [Constraint("tr.re(x1 x1*)", 1.0, 0.1)] + [
+        Constraint("tr.re(%s)" % " ".join(["x1"] * k), t, 0.1)
+        for k, t in ((1, 0.0), (2, 1.0), (3, 0.0), (4, 2.0))]
+    if quantified:
+        cons.append(Constraint("sup{y1 in D(1.0)} (tr.re(y1 x1*))", 0.8, 0.2))
+    return NeighborhoodSpec(1, 4.0, tuple(cons), "full" if quantified else "quantifier_free")
+
+
+BOX_PROPOSAL = GaussianProposal((1.0,), (math.sqrt(0.03),))
+# few, short optimizer runs: the tests below compare verdicts, not values
+CHEAP_EVAL = EvalConfig(opt=OptConfig(max_iter=60, num_starts=2))
+
+
+@pytest.mark.parametrize("n", [4, 8])
+def test_membership_mask_survivors_match_full_batch_bitwise(n):
+    spec = box_spec()
+    x = BOX_PROPOSAL.sample(n, 20_000, RngStream(23).child(n).generator())
+    ref = np.linalg.svd(x[0], compute_uv=False)[:, 0] <= spec.r
+    passed = []
+    for c in spec.constraints:
+        vals = eval_formula(c.formula, x)  # every sample, every constraint
+        ref &= np.abs(vals - c.target) < c.tol
+        passed.append(int(ref.sum()))
+        idx = np.flatnonzero(ref)
+        assert np.array_equal(eval_formula(c.formula, x[:, idx]).view(np.uint64),
+                              vals[idx].view(np.uint64))
+    # the first constraint narrows the batch, and some samples pass them all
+    assert passed[0] < x.shape[1] and passed[-1] > 0
+    assert np.array_equal(membership_mask(spec, x), ref)
+
+
+def test_full_type_prefilter_matches_pointwise_verdicts():
+    # A thin shell plus a quantified constraint: many samples sit within
+    # last bits of the shell's tolerance or of the ambient radius, where a
+    # batched and a single-sample evaluation may round differently.
+    n, r, shell, tol = 3, 1.0, 0.7, 0.05
+    spec = NeighborhoodSpec(1, 2.0, (
+        Constraint("tr.re(x1 x1*)", shell, tol),
+        Constraint("sup{y1 in D(1.0)} (tr.re(y1 x1*))", 0.85, 0.2)), "full")
+    rng = RngStream(29).child("prefilter").generator()
+    g = GaussianProposal.isotropic(1, 1.0).sample(n, 48, rng)[0]
+    hs2 = np.einsum("sij,sij->s", g.conj(), g).real / n
+    edges = np.array([-1e-8, -1e-12, -1e-15, 0.0, 1e-15, 1e-12, 1e-8])
+    levels = np.concatenate([shell + tol * (1.0 + edges), shell - tol * (1.0 + edges),
+                             shell + tol * np.linspace(-0.9, 0.9, 34)])
+    x = (g * np.sqrt(levels / hs2)[:, None, None])[None]
+    # unitaries at the ambient radius, just inside and just outside it
+    u = sample_haar_unitary(n, rng, size=(len(edges),))
+    x_edge = (u * (r * (1.0 + edges))[:, None, None])[None]
+    spec_edge = replace(spec, r=r, constraints=(
+        Constraint("tr.re(x1 x1*)", 1.0, tol),) + spec.constraints[1:])
+    for sp, xs in ((spec, x), (spec_edge, x_edge)):
+        mask = membership_mask(sp, xs, CHEAP_EVAL)
+        ref = [is_microstate(xs[:, i], sp, CHEAP_EVAL) == "in"
+               for i in range(xs.shape[1])]
+        assert mask.tolist() == ref
+        assert 0 < mask.sum() < mask.size
+    assert operator_norm(x_edge[0, 0]) < r < operator_norm(x_edge[0, -2])
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5),
+       count=st.integers(1, 300), quantified=st.booleans())
+def test_membership_mask_permutes_with_the_batch(seed, n, count, quantified):
+    spec = box_spec(quantified)
+    rng = RngStream(seed).generator()
+    x = BOX_PROPOSAL.sample(n, count, rng)
+    perm = rng.permutation(count)
+    assert np.array_equal(membership_mask(spec, x[:, perm], CHEAP_EVAL),
+                          membership_mask(spec, x, CHEAP_EVAL)[perm])
+
+
 # ---------------------------------------------------------------------------
 # Proposal density
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_proposal_sample_matches_gue_composition_bitwise(d):
+    prop = GaussianProposal(tuple(0.3 + 0.4 * j for j in range(d)),
+                            tuple(0.17 + 0.5 * j for j in range(d)))
+    for n in (1, 2, 5, 12):
+        for count in (1, 3, 1000):
+            ref_rng = RngStream(31).child((d, n, count)).generator()
+            ref = np.empty((d, count, n, n), dtype=np.complex128)
+            for j in range(d):
+                g1 = sample_gue(n, ref_rng, size=(count,))
+                g2 = sample_gue(n, ref_rng, size=(count,))
+                ref[j] = prop.herm[j] * g1 + 1j * prop.skew[j] * g2
+            rng = RngStream(31).child((d, n, count)).generator()
+            x = prop.sample(n, count, rng)
+            assert np.array_equal(x.view(np.uint64), ref.view(np.uint64))
+            # the stream is left where the reference left it
+            assert rng.standard_normal() == ref_rng.standard_normal()
 
 
 def test_proposal_hs_scale():
