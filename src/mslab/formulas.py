@@ -428,16 +428,19 @@ def _poly_gradient(poly: StarPolynomial, env, wrt, part: str) -> Dict[int, np.nd
             continue
         mats = [_letter_matrix(l, env, adj_cache) for l in letters]
         k = len(letters)
+        # the whole word's product is never read, so neither pass forms it
         prefixes = [None] * k  # product of letters [0:i)
         run = None
-        for i in range(k):
+        for i in range(k - 1):
             prefixes[i] = run
             run = mats[i] if run is None else run @ mats[i]
+        prefixes[k - 1] = run
         suffixes = [None] * k  # product of letters (i:k)
         run = None
-        for i in range(k - 1, -1, -1):
+        for i in range(k - 1, 0, -1):
             suffixes[i] = run
             run = mats[i] if run is None else mats[i] @ run
+        suffixes[0] = run
         for i, (idx, star) in enumerate(letters):
             if idx not in grads:
                 continue

@@ -17,6 +17,7 @@ to floating-point rounding rather than to Monte-Carlo accuracy.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -46,7 +47,7 @@ from .microstates import (
     log_volume_from_hits,
 )
 from .microstates import membership_mask
-from .moments import MomentVector, free_convolve, free_product_moments
+from .moments import MomentVector, all_words, free_convolve, free_product_moments
 from .optimize import OptConfig
 from .transport import SpectralMeasure, psi_distance
 
@@ -115,13 +116,11 @@ def _as_measure_tuple(spec: MeasureSpec) -> Tuple[SpectralMeasure, ...]:
 # ---------------------------------------------------------------------------
 # Word-trace tables
 
-def _digit_word(index: int, length: int, d: int) -> StarWord:
-    """Decode a flat level index into a *-word (most significant = first letter)."""
-    letters = []
-    for pos in range(length - 1, -1, -1):
-        digit = (index // ((2 * d) ** pos)) % (2 * d)
-        letters.append((digit // 2 + 1, bool(digit % 2)))
-    return StarWord(tuple(letters))
+@functools.lru_cache(maxsize=8)
+def _word_labels(d: int, max_len: int) -> Tuple[StarWord, ...]:
+    """The keys of ``word_traces``: the unit, then every word by length and
+    letter order, which is the row-major order of each level's trace table."""
+    return tuple(all_words(d, max_len))
 
 
 def word_traces(gens, max_len: int) -> Dict[StarWord, complex]:
@@ -149,7 +148,7 @@ def word_traces(gens, max_len: int) -> Dict[StarWord, complex]:
         prev = levels[-1]
         nxt = np.matmul(prev[:, None], base[None, :])
         levels.append(nxt.reshape(-1, n, n))
-    out: Dict[StarWord, complex] = {StarWord(): 1.0 + 0.0j}
+    values = [1.0 + 0.0j]
     for total in range(1, max_len + 1):
         a = min(half, total)
         b = total - a
@@ -157,13 +156,9 @@ def word_traces(gens, max_len: int) -> Dict[StarWord, complex]:
         # products, and the contraction runs as one gemm over (n^2)-vectors.
         left = levels[a].reshape(levels[a].shape[0], -1)
         right = levels[b].transpose(0, 2, 1).reshape(levels[b].shape[0], -1)
-        tab = (left @ right.T) / n
-        for i in range(tab.shape[0]):
-            left = _digit_word(i, a, d)
-            for j in range(tab.shape[1]):
-                right = _digit_word(j, b, d)
-                out[StarWord(left.letters + right.letters)] = complex(tab[i, j])
-    return out
+        values.extend(((left @ right.T) / n).ravel().tolist())
+        del left, right  # free the transposed copy before the next one is made
+    return dict(zip(_word_labels(d, max_len), values))
 
 
 def _diag_moments(rows: np.ndarray, max_len: int) -> MomentVector:
@@ -260,6 +255,17 @@ def asymptotic_freeness_experiment(base_x: MeasureSpec, base_y: MeasureSpec,
         mv_x = _diag_moments(rows_x, max_len)
         mv_y = _diag_moments(rows_y, max_len)
         predicted = free_product_moments(mv_x, mv_y, max_len)
+        # per word: the own-family value conjugation must keep (None for a
+        # mixed word) and the free-product prediction
+        checks: Dict[StarWord, Tuple[Optional[complex], complex]] = {}
+        for w in _word_labels(dx + dy, max_len)[1:]:
+            used = {i for i, _ in w.letters}
+            own = None
+            if max(used) <= dx:
+                own = mv_x[w]
+            elif min(used) > dx:
+                own = mv_y[StarWord(tuple((i - dx, s) for i, s in w.letters))]
+            checks[w] = own, predicted[w]
         devs = []
         inv_worst = 0.0
         for t in range(trials):
@@ -276,15 +282,10 @@ def asymptotic_freeness_experiment(base_x: MeasureSpec, base_y: MeasureSpec,
             for w, val in traces.items():
                 if not w.letters:
                     continue
-                used = {i for i, _ in w.letters}
-                if max(used) <= dx:
-                    resid = abs(val - mv_x[w])
-                    inv_worst = max(inv_worst, resid)
-                elif min(used) > dx:
-                    shifted = StarWord(tuple((i - dx, s) for i, s in w.letters))
-                    resid = abs(val - mv_y[shifted])
-                    inv_worst = max(inv_worst, resid)
-                dev = max(dev, abs(val - predicted[w]))
+                own, pred = checks[w]
+                if own is not None:
+                    inv_worst = max(inv_worst, abs(val - own))
+                dev = max(dev, abs(val - pred))
             if inv_worst > CONJUGATION_TOL:
                 raise RuntimeError(
                     f"conjugation failed to preserve own-family traces at "

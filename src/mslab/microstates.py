@@ -405,9 +405,12 @@ def estimate_volume(spec: NeighborhoodSpec, n: int, samples: int,
         take = min(chunk, samples - done)
         x = proposal.sample(n, take, rng)
         mask = membership_mask(spec, x, opt_cfg)
+        inside = x[:, mask]
+        # free the chunk before log_density's temporaries and the next draw
+        del x
         if mask.any():
-            logw = -proposal.log_density(x[:, mask])
-            hit_logw.append(np.atleast_1d(logw))
+            hit_logw.append(np.atleast_1d(-proposal.log_density(inside)))
+        del inside
         done += take
     logw = np.concatenate(hit_logw) if hit_logw else np.empty(0)
     log_vol, ci, hits = log_volume_from_hits(logw, samples)

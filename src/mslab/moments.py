@@ -18,10 +18,11 @@ are required to be closed under subsequences; ``validate`` checks this.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -269,8 +270,39 @@ class CumulantVector:
 # Moebius inversion over NC
 
 
-def _restriction(letters: Tuple, block: Tuple[int, ...]) -> StarWord:
-    return StarWord(tuple(letters[p - 1] for p in block))
+def _nc_sum(letters: Tuple, kappa_of: Callable[[Tuple], complex],
+            moment: Optional[complex] = None) -> complex:
+    """Sum over NC partitions of the product of block cumulants.
+
+    ``kappa_of`` maps the letters of a block restriction to its cumulant.
+    Without ``moment`` this is the moment sum m(w); with it, the top
+    cumulant moment - (sum over partitions with more than one block).
+    Partitions and their blocks run in ``_nc_blocks`` order and a product
+    stops at its first exact zero; each block's cumulant is looked up once
+    and memoized on the block, which leaves every value bit for bit the same.
+    """
+    memo: Dict[Tuple[int, ...], complex] = {}
+    acc = 0.0 + 0.0j if moment is None else moment
+    for blocks in _nc_blocks(len(letters)):
+        if moment is not None and len(blocks) == 1:
+            continue
+        prod = 1.0 + 0.0j
+        for b in blocks:
+            kappa = memo.get(b)
+            if kappa is None:
+                kappa = memo[b] = kappa_of(tuple(map(letters.__getitem__, b)))
+            prod *= kappa
+            if prod == 0.0:
+                break
+        if moment is None:
+            acc += prod
+        else:
+            acc -= prod
+    return acc
+
+
+def _letter_table(values: Mapping[StarWord, complex]) -> Dict[Tuple, complex]:
+    return {w.letters: v for w, v in values.items()}
 
 
 def moments_to_cumulants(mv: MomentVector) -> CumulantVector:
@@ -280,23 +312,22 @@ def moments_to_cumulants(mv: MomentVector) -> CumulantVector:
     product of kappa over block restrictions (every proper block is shorter,
     so the recursion is well-founded).
     """
+    table: Dict[Tuple, complex] = {}
     kappa: Dict[StarWord, complex] = {StarWord(): 0.0}
     for w in mv.words():
-        k = len(w.letters)
-        if k == 0:
-            continue
-        acc = mv.values[w]
-        for blocks in _nc_blocks(k):
-            if len(blocks) == 1:
-                continue
-            prod = 1.0 + 0.0j
-            for b in blocks:
-                prod *= kappa[_restriction(w.letters, tuple(p + 1 for p in b))]
-                if prod == 0.0:
-                    break
-            acc -= prod
-        kappa[w] = acc
+        if w.letters:
+            kappa[w] = table[w.letters] = _nc_sum(
+                w.letters, table.__getitem__, moment=mv.values[w])
     return CumulantVector(mv.d, mv.max_len, kappa)
+
+
+def _moments_from(kappa_of: Callable[[Tuple], complex],
+                  words: Iterable[StarWord]) -> Dict[StarWord, complex]:
+    out: Dict[StarWord, complex] = {StarWord(): 1.0}
+    for w in sorted(words, key=lambda w: (len(w), w.letters)):
+        if w.letters:
+            out[w] = _nc_sum(w.letters, kappa_of)
+    return out
 
 
 def cumulants_to_moments(cv: CumulantVector, words: Optional[Iterable[StarWord]] = None) -> MomentVector:
@@ -305,22 +336,9 @@ def cumulants_to_moments(cv: CumulantVector, words: Optional[Iterable[StarWord]]
     The cumulant vector may be sparse: any restriction not stored counts as
     zero, so e.g. a lone kappa_2 entry specifies a semicircular law.
     """
-    target = sorted(words, key=lambda w: (len(w), w.letters)) if words is not None else cv.words()
-    out: Dict[StarWord, complex] = {StarWord(): 1.0}
-    for w in target:
-        k = len(w.letters)
-        if k == 0:
-            continue
-        total = 0.0 + 0.0j
-        for blocks in _nc_blocks(k):
-            prod = 1.0 + 0.0j
-            for b in blocks:
-                prod *= cv.values.get(_restriction(w.letters, tuple(p + 1 for p in b)), 0.0)
-                if prod == 0.0:
-                    break
-            total += prod
-        out[w] = total
-    return MomentVector(cv.d, cv.max_len, out)
+    table = _letter_table(cv.values)
+    return MomentVector(cv.d, cv.max_len, _moments_from(
+        lambda sub: table.get(sub, 0.0), cv.values if words is None else words))
 
 
 # ---------------------------------------------------------------------------
@@ -338,41 +356,28 @@ def free_product_moments(mv_a: MomentVector, mv_b: MomentVector, max_len: int,
     """
     if mv_a.max_len < max_len or mv_b.max_len < max_len:
         raise ValueError("input moment vectors must cover max_len")
-    ka = moments_to_cumulants(mv_a)
-    kb = moments_to_cumulants(mv_b)
-    d = mv_a.d + mv_b.d
+    ka = _letter_table(moments_to_cumulants(mv_a).values)
+    kb = _letter_table(moments_to_cumulants(mv_b).values)
+    da = mv_a.d
+    d = da + mv_b.d
 
-    def kappa(sub: StarWord) -> complex:
-        families = {idx <= mv_a.d for idx, _ in sub.letters}
-        if len(families) > 1:
+    @functools.lru_cache(maxsize=None)  # restrictions repeat across words
+    def kappa(sub: Tuple) -> complex:
+        if max(sub)[0] <= da:
+            table, key = ka, sub
+        elif min(sub)[0] > da:
+            table, key = kb, tuple((idx - da, s) for idx, s in sub)
+        else:
             return 0.0  # mixed block: free independence
         try:
-            if True in families:
-                return ka.values[sub]
-            shifted = StarWord(tuple((idx - mv_a.d, s) for idx, s in sub.letters))
-            return kb.values[shifted]
-        except KeyError as exc:
+            return table[key]
+        except KeyError:
             raise ValueError(
-                f"input moment vector does not cover the restriction {exc.args[0]}; "
+                f"input moment vector does not cover the restriction {StarWord(key)}; "
                 "free_product_moments needs subsequence-closed factor tables") from None
 
-    target = (sorted(words, key=lambda w: (len(w), w.letters))
-              if words is not None else all_words(d, max_len))
-    out: Dict[StarWord, complex] = {StarWord(): 1.0}
-    for w in target:
-        k = len(w.letters)
-        if k == 0:
-            continue
-        total = 0.0 + 0.0j
-        for blocks in _nc_blocks(k):
-            prod = 1.0 + 0.0j
-            for b in blocks:
-                prod *= kappa(_restriction(w.letters, tuple(p + 1 for p in b)))
-                if prod == 0.0:
-                    break
-            total += prod
-        out[w] = total
-    return MomentVector(d, max_len, out)
+    return MomentVector(d, max_len, _moments_from(
+        kappa, all_words(d, max_len) if words is None else words))
 
 
 def free_convolve(mu: MomentVector, nu: MomentVector, max_len: int) -> MomentVector:
@@ -430,22 +435,5 @@ def reference_law(name: str, max_len: int = 6) -> MomentVector:
         kvals[StarWord((a,))] = 0.0
         for b in letters:
             kvals[StarWord((a, b))] = kappa2(a, b)
-    cv = CumulantVector(d, max_len, kvals)
-    # cumulants beyond order 2 vanish; moments over the full word table
-    out: Dict[StarWord, complex] = {StarWord(): 1.0}
-    for w in all_words(d, max_len):
-        k = len(w.letters)
-        if k == 0:
-            continue
-        total = 0.0 + 0.0j
-        for blocks in _nc_blocks(k):
-            if any(len(b) != 2 for b in blocks):
-                continue
-            prod = 1.0 + 0.0j
-            for b in blocks:
-                prod *= cv.values.get(_restriction(w.letters, tuple(p + 1 for p in b)), 0.0)
-                if prod == 0.0:
-                    break
-            total += prod
-        out[w] = total
-    return MomentVector(d, max_len, out)
+    # cumulants beyond order 2 vanish (absent entries read as zero)
+    return cumulants_to_moments(CumulantVector(d, max_len, kvals), all_words(d, max_len))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mslab import formulas
 from mslab.formulas import (
     BOUND_OFFSET,
     Basic,
@@ -513,3 +514,61 @@ def test_gradient_matches_finite_differences(n):
             an = float(np.real(tuple_hs_inner(g, h)))
             scale = max(1.0, abs(fd))
             assert abs(fd - an) / scale < 1e-5, (trial, d)
+
+
+def _poly_gradient_reference(poly, env, wrt, part):
+    """The gradient loop that formed every prefix and suffix product,
+    including the two whole-word products it never read."""
+    adj_cache = {}
+    some = next(iter(env.values()))
+    grads = {j: np.zeros_like(some) for j in wrt}
+    for w, c in poly.terms.items():
+        if part == "im":
+            c = -1j * c
+        letters = w.letters
+        if not letters:
+            continue
+        mats = [formulas._letter_matrix(l, env, adj_cache) for l in letters]
+        k = len(letters)
+        prefixes = [None] * k
+        run = None
+        for i in range(k):
+            prefixes[i] = run
+            run = mats[i] if run is None else run @ mats[i]
+        suffixes = [None] * k
+        run = None
+        for i in range(k - 1, -1, -1):
+            suffixes[i] = run
+            run = mats[i] if run is None else mats[i] @ run
+        for i, (idx, star) in enumerate(letters):
+            if idx not in grads:
+                continue
+            p, s = prefixes[i], suffixes[i]
+            if not star:
+                term = formulas._mul_opt(formulas._adj_opt(p), formulas._adj_opt(s), some)
+                grads[idx] = grads[idx] + np.conj(c) * term
+            else:
+                term = formulas._mul_opt(s, p, some)
+                grads[idx] = grads[idx] + c * term
+    return grads
+
+
+@pytest.mark.parametrize("batch", [(), (3,)])
+def test_poly_gradient_matches_full_product_loop_bitwise(batch):
+    rng = RngStream(94).generator()
+    for trial in range(20):
+        d = int(rng.integers(1, 4))
+        terms = {StarWord(): 0.5}
+        for _ in range(int(rng.integers(1, 5))):
+            letters = tuple((int(rng.integers(1, d + 1)), bool(rng.integers(0, 2)))
+                            for _ in range(int(rng.integers(1, 6))))
+            terms[StarWord(letters)] = complex(rng.normal(), rng.normal())
+        poly = StarPolynomial(terms)
+        env = formulas._env_from(sample_ginibre(4, rng, size=(d,) + batch))
+        wrt = set(range(1, d + 1)) - {int(rng.integers(1, d + 1))} if d > 1 else {1}
+        for part in ("re", "im"):
+            got = formulas._poly_gradient(poly, env, wrt, part)
+            want = _poly_gradient_reference(poly, env, wrt, part)
+            assert got.keys() == want.keys()
+            for j in want:
+                assert np.array_equal(got[j], want[j]), (trial, part, j)

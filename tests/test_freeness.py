@@ -28,6 +28,7 @@ from mslab.freeness import (
     word_traces,
 )
 from mslab.matrices import RngStream, sample_gue
+from mslab.moments import all_words
 from mslab.microstates import Constraint, McmcConfig, NeighborhoodSpec, independent_join_ratio
 from mslab.transport import SpectralMeasure
 
@@ -93,9 +94,18 @@ def test_word_traces_match_direct_products():
 
 
 def test_word_traces_cover_every_word():
-    g = np.zeros((2, 3, 3), dtype=np.complex128)
-    table = word_traces(g, 3)
-    assert len(table) == 1 + 4 + 16 + 64
+    rng = np.random.default_rng(8)
+    g = rng.standard_normal((2, 3, 3)) + 1j * rng.standard_normal((2, 3, 3))
+    mats = {(j + 1, s): (g[j].conj().T if s else g[j]) for j in range(2) for s in (False, True)}
+    for max_len in (3, 4):
+        table = word_traces(g, max_len)
+        # keyed by every word in all_words order; each value is its trace
+        assert list(table) == all_words(2, max_len)
+        for w, val in table.items():
+            prod = np.eye(3, dtype=np.complex128)
+            for letter in w.letters:
+                prod = prod @ mats[letter]
+            assert abs(val - np.trace(prod) / 3) < 1e-12, w
 
 
 def test_word_traces_single_matrix_powers():

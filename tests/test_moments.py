@@ -1,7 +1,11 @@
 """Tests for non-crossing partitions, cumulants, and free-probability oracles."""
 
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mslab.formulas import StarWord
 from mslab.moments import (
@@ -319,3 +323,186 @@ def test_momentvector_json_roundtrip():
 def test_max_len_cap():
     with pytest.raises(ValueError, match="cap"):
         MomentVector(1, 11, {})
+
+
+# ---------------------------------------------------------------------------
+# The memoized NC sum against one loop per transform, bit for bit
+#
+# The references below walk every NC partition and build every block
+# restriction afresh, one loop per transform, each in the same partition
+# and block order, stopping a product at its first exact zero.
+
+
+def _restrict(letters, block):
+    return StarWord(tuple(letters[p - 1] for p in block))
+
+
+def _ref_moments_to_cumulants(mv):
+    kappa = {StarWord(): 0.0}
+    for w in mv.words():
+        k = len(w.letters)
+        if k == 0:
+            continue
+        acc = mv.values[w]
+        for part in enumerate_nc(k):
+            if len(part) == 1:
+                continue
+            prod = 1.0 + 0.0j
+            for b in part.blocks:
+                prod *= kappa[_restrict(w.letters, b)]
+                if prod == 0.0:
+                    break
+            acc -= prod
+        kappa[w] = acc
+    return CumulantVector(mv.d, mv.max_len, kappa)
+
+
+def _ref_sum(w, kappa_of):
+    total = 0.0 + 0.0j
+    for part in enumerate_nc(len(w.letters)):
+        prod = 1.0 + 0.0j
+        for b in part.blocks:
+            prod *= kappa_of(_restrict(w.letters, b))
+            if prod == 0.0:
+                break
+        total += prod
+    return total
+
+
+def _ref_cumulants_to_moments(cv, words):
+    out = {StarWord(): 1.0}
+    for w in sorted(words, key=lambda w: (len(w), w.letters)):
+        if w.letters:
+            out[w] = _ref_sum(w, lambda sub: cv.values.get(sub, 0.0))
+    return MomentVector(cv.d, cv.max_len, out)
+
+
+def _ref_free_product_moments(mv_a, mv_b, max_len, words):
+    ka = _ref_moments_to_cumulants(mv_a)
+    kb = _ref_moments_to_cumulants(mv_b)
+
+    def kappa(sub):
+        families = {idx <= mv_a.d for idx, _ in sub.letters}
+        if len(families) > 1:
+            return 0.0
+        if True in families:
+            return ka.values[sub]
+        return kb.values[StarWord(tuple((idx - mv_a.d, s) for idx, s in sub.letters))]
+
+    out = {StarWord(): 1.0}
+    for w in sorted(words, key=lambda w: (len(w), w.letters)):
+        if w.letters:
+            out[w] = _ref_sum(w, kappa)
+    return MomentVector(mv_a.d + mv_b.d, max_len, out)
+
+
+def _ref_reference_law_moments(cv, max_len):
+    out = {StarWord(): 1.0}
+    for w in all_words(cv.d, max_len):
+        if not w.letters:
+            continue
+        total = 0.0 + 0.0j
+        for part in enumerate_nc(len(w.letters)):
+            if any(len(b) != 2 for b in part.blocks):
+                continue
+            prod = 1.0 + 0.0j
+            for b in part.blocks:
+                prod *= cv.values.get(_restrict(w.letters, b), 0.0)
+                if prod == 0.0:
+                    break
+            total += prod
+        out[w] = total
+    return out
+
+
+def _bits(table):
+    """Every value's exact bits, signed zeros included."""
+    return {w: struct.pack("<dd", v.real, v.imag) for w, v in table.values.items()}
+
+
+def _random_value(rng):
+    # exact zeros of both signs make products stop early and exercise the
+    # sign of zero in the subtraction of moments_to_cumulants
+    u = rng.random()
+    if u < 0.15:
+        return 0.0
+    if u < 0.25:
+        return complex(-0.0, -0.0)
+    return complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+
+
+def _random_closed_words(rng, d, max_len, count):
+    letters = [(j, s) for j in range(1, d + 1) for s in (False, True)]
+    base = [StarWord(tuple(letters[int(rng.integers(len(letters)))]
+                           for _ in range(int(rng.integers(1, max_len + 1)))))
+            for _ in range(count)]
+    return subword_closure(base)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_nc_transforms_match_per_loop_sums_bitwise(d):
+    rng = np.random.default_rng(40 + d)
+    for _ in range(4):
+        words = _random_closed_words(rng, d, 6, 3)
+        mv = MomentVector(d, 6, {w: _random_value(rng) for w in words if w.letters})
+        assert _bits(moments_to_cumulants(mv)) == _bits(_ref_moments_to_cumulants(mv))
+        # a sparse cumulant vector: missing restrictions count as zero
+        cv = CumulantVector(d, 6, {w: _random_value(rng) for w in words
+                                   if w.letters and rng.random() < 0.6})
+        assert (_bits(cumulants_to_moments(cv, words))
+                == _bits(_ref_cumulants_to_moments(cv, words)))
+    # all moments -0.0: every product is a zero, and its sign reaches kappa
+    zeros = MomentVector(d, 4, {w: complex(-0.0, -0.0) for w in all_words(d, 4) if w.letters})
+    assert _bits(moments_to_cumulants(zeros)) == _bits(_ref_moments_to_cumulants(zeros))
+
+
+@pytest.mark.parametrize("da,db,max_len", [(1, 1, 5), (1, 2, 4), (2, 1, 4)])
+def test_free_product_matches_per_loop_sum_bitwise(da, db, max_len):
+    rng = np.random.default_rng(50 + 3 * da + db)
+    mv_a = MomentVector(da, max_len, {w: _random_value(rng)
+                                      for w in all_words(da, max_len) if w.letters})
+    mv_b = MomentVector(db, max_len, {w: _random_value(rng)
+                                      for w in all_words(db, max_len) if w.letters})
+    every = all_words(da + db, max_len)
+    some = [every[int(i)] for i in rng.choice(len(every), size=60, replace=False)]
+    for words in (None, some):
+        got = free_product_moments(mv_a, mv_b, max_len, words)
+        want = _ref_free_product_moments(mv_a, mv_b, max_len,
+                                         every if words is None else words)
+        assert _bits(got) == _bits(want)
+
+
+@pytest.mark.parametrize("name,max_len", [("semicircular", 6), ("circular", 6),
+                                          ("free_circular_family(2)", 5)])
+def test_reference_law_matches_pair_partition_sum_bitwise(name, max_len):
+    law = reference_law(name, max_len)
+    d = law.d
+    letters = [(j, s) for j in range(1, d + 1) for s in (False, True)]
+    pairs = {StarWord((a, b)): law[StarWord((a, b))] for a in letters for b in letters}
+    cv = CumulantVector(d, max_len, pairs)  # second moments = pair cumulants
+    assert _bits(law) == _bits(MomentVector(d, max_len,
+                                            _ref_reference_law_moments(cv, max_len)))
+
+
+@pytest.mark.parametrize("missing", ["a", "b"])
+def test_free_product_rejects_uncovered_restriction(missing):
+    # a closed but short factor: x1 x1 is its longest word.  The message
+    # names the restriction in the factor's own variables.
+    short = MomentVector(1, 4, {"x1": 0.0, "x1 x1": 1.0})
+    full = reference_law("semicircular", max_len=4)
+    a, b = (short, full) if missing == "a" else (full, short)
+    word = StarWord.parse("x1 x1 x1" if missing == "a" else "x2 x2 x2")
+    with pytest.raises(ValueError, match="does not cover the restriction x1 x1 x1;"):
+        free_product_moments(a, b, 4, [StarWord.parse("x1 x2"), word])
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(d=st.integers(1, 2), max_len=st.integers(1, 6), count=st.integers(1, 4),
+       seed=st.integers(0, 2**32 - 1))
+def test_cumulant_round_trip_property(d, max_len, count, seed):
+    rng = np.random.default_rng(seed)
+    words = _random_closed_words(rng, d, max_len, count)
+    mv = MomentVector(d, max_len, {
+        w: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for w in words if w.letters})
+    back = cumulants_to_moments(moments_to_cumulants(mv), mv.words())
+    assert max(abs(back[w] - mv[w]) for w in mv.words()) < 1e-12
